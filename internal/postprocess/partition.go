@@ -85,17 +85,6 @@ func ReduceForest(edges []WeightedEdge, tau2 float64) []WeightedEdge {
 		func(e WeightedEdge) (uint32, uint32) { return e.U, e.V })
 }
 
-// Tau2OfParts is Tau2Of over partitioned edges. The min-of-max reduction is
-// partition-oblivious, so delegating on the flattened parts keeps a single
-// implementation of Equation 2.
-func Tau2OfParts(parts [][]WeightedEdge) float64 {
-	var all []WeightedEdge
-	for _, part := range parts {
-		all = append(all, part...)
-	}
-	return Tau2Of(all)
-}
-
 // ExtractPartitioned is ExtractFromWeights for edge sets split across P
 // parts, structured exactly like the distributed post-processing: resolve
 // τ₂ from per-part vertex maxima, reduce each part to its spanning forest,

@@ -51,6 +51,15 @@ type GraphView interface {
 	ForEachEdge(fn func(u, v graph.VertexID))
 }
 
+// AdjacencyView is a GraphView that also exposes each vertex's adjacency
+// (nil for absent vertices), in the order ForEachEdge visits it — what the
+// dirty-set extraction (ExtractScratch.ExtractDirty) needs to rebuild one
+// vertex's edges without walking the rest.
+type AdjacencyView interface {
+	GraphView
+	Neighbors(v graph.VertexID) []graph.VertexID
+}
+
 // WeightMetric selects how the label-distribution similarity of two
 // adjacent vertices is computed. The paper describes the weight as "the
 // probability of getting the same label from Li and Lj ... obtained by just
@@ -344,15 +353,6 @@ func entropyOfSizes(members [][]uint32, n int) float64 {
 		h -= p * math.Log(p)
 	}
 	return h
-}
-
-// SelectTau1 chooses the strong threshold τ₁ ∈ [τ₂, max w] maximizing the
-// community-size entropy (Equation 1) using the exact descending-weight
-// sweep. vertexCount is |V| of the full graph (the entropy denominator).
-// It is exported for the distributed driver, whose master performs this
-// selection on gathered weights.
-func SelectTau1(edges []WeightedEdge, vertexCount int, tau2 float64) float64 {
-	return ChooseTau1(edges, vertexCount, tau2, MaxWeight(edges), Config{})
 }
 
 // ChooseTau1 resolves the strong threshold for an already-reduced edge set:

@@ -474,13 +474,13 @@ func TestExtractPartitionedEmptyAndEdgeless(t *testing.T) {
 	}
 }
 
-func TestSelectTau1Exported(t *testing.T) {
+func TestChooseTau1Exported(t *testing.T) {
 	edges := []WeightedEdge{
 		{U: 0, V: 1, W: 0.9}, {U: 1, V: 2, W: 0.9},
 		{U: 3, V: 4, W: 0.8}, {U: 4, V: 5, W: 0.8},
 		{U: 2, V: 3, W: 0.1}, // bridge
 	}
-	tau1 := SelectTau1(edges, 6, 0.05)
+	tau1 := ChooseTau1(edges, 6, 0.05, MaxWeight(edges), Config{})
 	// Entropy at 0.8: both halves together... at 0.9: one 3-community; at
 	// 0.8: 6-vertex; at 0.1: everything one comp. Max entropy keeps the
 	// two triples separate.

@@ -19,12 +19,18 @@ import (
 // validated by a generation stamp: a pass bumps the generation instead of
 // clearing, entries from earlier passes are invisible, and the tables grow
 // monotonically with the ID space. Results never alias scratch memory
-// (covers copy their member lists), so a scratch may be pooled and reused
-// for a different graph immediately after a call returns — but the edge
-// slice returned by the EdgeWeights method is scratch-owned and only valid
-// until the next use.
+// (covers copy their member lists), so a scratch may be reused for a
+// different graph immediately after a call returns — but the edge slice
+// returned by the EdgeWeights method is scratch-owned and only valid until
+// the next use.
 //
-// A scratch must not be used concurrently; pool one per extraction.
+// ExtractDirty additionally keeps state across calls: the RLE runs of
+// every present vertex and the weighted edges as per-vertex rows, so the
+// next epoch recomputes only what its dirty set touched (see
+// ExtractDirty). Any other use of the scratch invalidates those rows and
+// makes the next ExtractDirty call rebuild them in full.
+//
+// A scratch must not be used concurrently.
 type ExtractScratch struct {
 	gen uint32 // current pass generation (0 = never used)
 
@@ -39,8 +45,20 @@ type ExtractScratch struct {
 	maxTouched []uint32  // vertices with a valid maxW entry this pass
 
 	sortBuf []uint32       // EncodeRuns sorting scratch
-	edges   []WeightedEdge // EdgeWeights output buffer
+	edges   []WeightedEdge // EdgeWeights / ExtractDirty edge list buffer
 	commOf  []int32        // strong-community id per compact vertex
+
+	// Persistent ExtractDirty state. rows[u] holds the weighted edges
+	// (u, v) with v > u, so concatenating the rows in ascending u yields
+	// EdgeWeights' edge set; encoded then holds the current runs of every
+	// present vertex. rowsValid says both describe the graph of the
+	// previous ExtractDirty call, weighed with rowsMetric.
+	rows       [][]WeightedEdge
+	rowsValid  bool
+	rowsMetric WeightMetric
+	dirtyBuf   []uint32 // distinct dirty vertices of the current pass
+	patchGen   []uint32
+	patch      []uint32 // clean vertices whose rows hold a dirty endpoint
 }
 
 // bump starts a new pass over one of the stamped tables. On the
@@ -70,22 +88,133 @@ func growTo[T any](s []T, n int) []T {
 // per-vertex table and the returned slice is scratch-owned (valid until the
 // scratch's next use).
 func (sc *ExtractScratch) EdgeWeights(g GraphView, labels LabelSeq, metric WeightMetric) []WeightedEdge {
+	sc.rowsValid = false // encoded is about to describe g, not the rows' graph
 	gen := sc.bump()
 	n := g.NumVertices() // lower bound; encode grows past it as needed
 	sc.encGen = growTo(sc.encGen, n)
 	sc.encoded = growTo(sc.encoded, n)
 	sc.edges = sc.edges[:0]
 	g.ForEachEdge(func(u, v uint32) {
-		ru, rv := sc.encode(u, labels, gen), sc.encode(v, labels, gen)
-		common := CommonRuns(ru, rv, metric)
-		lu := float64(sumRuns(ru))
-		w := float64(common) / lu
-		if metric == SameLabelProbability {
-			w = float64(common) / (lu * float64(sumRuns(rv)))
-		}
+		w := weightOf(sc.encode(u, labels, gen), sc.encode(v, labels, gen), metric)
 		sc.edges = append(sc.edges, WeightedEdge{U: u, V: v, W: w})
 	})
 	return sc.edges
+}
+
+// weightOf is w_uv from the endpoints' runs (u the smaller ID, as
+// ForEachEdge orients edges): the one weight formula both the full and
+// the dirty-set path use, which keeps them bit-identical.
+func weightOf(ru, rv []uint32, metric WeightMetric) float64 {
+	common := CommonRuns(ru, rv, metric)
+	lu := float64(sumRuns(ru))
+	if metric == SameLabelProbability {
+		return float64(common) / (lu * float64(sumRuns(rv)))
+	}
+	return float64(common) / lu
+}
+
+// ReweighStats reports how much of the weighted edge set one ExtractDirty
+// call recomputed.
+type ReweighStats struct {
+	Incremental    bool // false: every row was rebuilt from scratch
+	RowsReencoded  int  // vertices whose label runs were re-encoded
+	EdgesReweighed int  // edge weights computed
+}
+
+// ExtractDirty is Extract for a caller that follows one evolving graph
+// epoch by epoch. dirty must list every vertex whose adjacency or label
+// sequence changed since the graph of the scratch's previous ExtractDirty
+// call (core.UpdateStats.Dirty of the batch in between); nil means
+// unknown, and rebuilds every row — as does a first call, a changed
+// metric, or any other use of the scratch in between. Only the dirty
+// vertices are re-encoded and only the edges with a dirty endpoint are
+// reweighed: an edge's weight depends on nothing but its endpoints' label
+// sequences, and a clean vertex's neighbor set (hence its row) is
+// unchanged. The rows, concatenated in ascending vertex order, go to the
+// unchanged τ₂ / τ₁ / forest assembly. That list holds exactly
+// EdgeWeights' edges, in ForEachEdge order except where a batch deleted
+// and re-inserted an edge of a clean vertex (the pair cancels out of the
+// dirty set but moves the edge within the adjacency). The assembly does
+// not depend on edge order, so the Result is bit-identical to Extract on
+// the same graph and labels.
+func (sc *ExtractScratch) ExtractDirty(g AdjacencyView, labels LabelSeq, dirty []uint32, cfg Config) (*Result, ReweighStats, error) {
+	st := sc.reweigh(g, labels, dirty, cfg.Metric)
+	if g.NumVertices() == 0 {
+		return &Result{Cover: cover.New(0)}, st, nil
+	}
+	res, err := sc.ExtractFromWeights(g, sc.edges, cfg)
+	return res, st, err
+}
+
+// reweigh brings the rows and runs up to g (see ExtractDirty) and
+// concatenates the rows into sc.edges.
+func (sc *ExtractScratch) reweigh(g AdjacencyView, labels LabelSeq, dirty []uint32, metric WeightMetric) ReweighStats {
+	gen := sc.bump()
+	var st ReweighStats
+	sc.dirtyBuf = sc.dirtyBuf[:0]
+	if dirty == nil || !sc.rowsValid || sc.rowsMetric != metric {
+		for u := range sc.rows {
+			sc.rows[u] = sc.rows[u][:0]
+		}
+		dirty = g.Vertices()
+	} else {
+		st.Incremental = true
+	}
+	// Re-encode first: rows read both endpoints' runs, and the stamp
+	// marks the pass's dirty vertices.
+	for _, v := range dirty {
+		sc.encGen = growTo(sc.encGen, int(v)+1)
+		if sc.encGen[v] != gen {
+			sc.encode(v, labels, gen)
+			sc.dirtyBuf = append(sc.dirtyBuf, v)
+		}
+	}
+	st.RowsReencoded = len(sc.dirtyBuf)
+	sc.patchGen = growTo(sc.patchGen, len(sc.encGen))
+	sc.patch = sc.patch[:0]
+	for _, u := range sc.dirtyBuf {
+		st.EdgesReweighed += sc.buildRow(g, u, metric)
+		if !st.Incremental {
+			continue
+		}
+		for _, x := range g.Neighbors(u) {
+			if x < u && sc.encGen[x] != gen && sc.patchGen[x] != gen {
+				sc.patchGen[x] = gen
+				sc.patch = append(sc.patch, x)
+			}
+		}
+	}
+	// A clean vertex's row holds the right edges; only its entries
+	// towards dirty endpoints are stale.
+	for _, u := range sc.patch {
+		row, ru := sc.rows[u], sc.encoded[u]
+		for i := range row {
+			if v := row[i].V; sc.encGen[v] == gen {
+				row[i].W = weightOf(ru, sc.encoded[v], metric)
+				st.EdgesReweighed++
+			}
+		}
+	}
+	sc.edges = sc.edges[:0]
+	for _, row := range sc.rows {
+		sc.edges = append(sc.edges, row...)
+	}
+	sc.rowsValid, sc.rowsMetric = true, metric
+	return st
+}
+
+// buildRow recomputes u's row from its adjacency in g and returns the
+// number of weights computed. Every endpoint's runs must be current.
+func (sc *ExtractScratch) buildRow(g AdjacencyView, u uint32, metric WeightMetric) int {
+	sc.rows = growTo(sc.rows, int(u)+1)
+	row, ru := sc.rows[u][:0], sc.encoded[u]
+	for _, v := range g.Neighbors(u) {
+		if v > u {
+			row = append(row, WeightedEdge{U: u, V: v, W: weightOf(ru, sc.encoded[v], metric)})
+		}
+	}
+	sc.rows[u] = row
+	return len(row)
 }
 
 // encode RLE-encodes v's label sequence into its reusable table slot,

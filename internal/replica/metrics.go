@@ -41,6 +41,11 @@ func newReplicaMetrics(r *obs.Registry, f *Follower) *replicaMetrics {
 			"Checkpoint re-bootstraps after the initial one, by reason.",
 			"reason"),
 	}
+	// Pre-create every reason at zero: a family with HELP/TYPE but no
+	// samples does not lint, and scrapes show zeros, not absences.
+	for _, reason := range []string{reasonHorizon, reasonEpochRegression, reasonDivergence} {
+		m.rebootstraps.With(reason)
+	}
 	r.GaugeFunc("rslpa_replica_lag_batches",
 		"Writer batches not yet replayed (writer_epoch - follower_epoch, clamped at 0).",
 		func() float64 { return float64(f.Stats().LagBatches) })

@@ -128,3 +128,35 @@ func TestFollowerMetricsAcrossRebootstrap(t *testing.T) {
 		}
 	}
 }
+
+// A freshly bootstrapped follower, which has never re-bootstrapped, serves
+// an exposition that lints, with every re-bootstrap reason at zero.
+func TestFreshFollowerExpositionLints(t *testing.T) {
+	_, st := testFixture(t)
+	w := newWriter(t, st, stream.Options{FlushInterval: time.Hour, JournalDepth: 4})
+	wsrv := httptest.NewServer(w.Handler())
+	defer wsrv.Close()
+	f, err := New(Options{WriterURL: wsrv.URL, PollInterval: time.Hour, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	fsrv := httptest.NewServer(f.Handler())
+	defer fsrv.Close()
+	resp, err := http.Get(fsrv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := obs.ParseExposition(resp.Body)
+	if err != nil {
+		t.Fatalf("fresh follower exposition does not lint: %v", err)
+	}
+	for _, reason := range []string{"horizon", "epoch_regression", "divergence"} {
+		key := `rslpa_replica_rebootstraps_total{reason="` + reason + `"}`
+		if v, ok := fams["rslpa_replica_rebootstraps_total"].Samples[key]; !ok || v != 0 {
+			t.Errorf("%s = %g (present %v), want 0", key, v, ok)
+		}
+	}
+}

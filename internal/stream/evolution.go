@@ -36,6 +36,7 @@ import (
 
 	"rslpa/internal/evolution"
 	"rslpa/internal/obs"
+	"rslpa/internal/postprocess"
 )
 
 // evolutionSidecarSuffix names the durable sidecar next to the detector
@@ -116,7 +117,7 @@ func (s *Service) initEvolution(sn0 *Snapshot) error {
 			e.events.With(string(k)) // pre-create every kind: scrapes show zeros, not absences
 		}
 		e.diffSeconds = r.Histogram("rslpa_evolution_diff_seconds",
-			"Evolution diff latency per published snapshot (extraction + matching; extraction is memoized for readers).",
+			"Evolution step latency per published snapshot: the snapshot's community extraction (also timed alone by rslpa_stream_extract_seconds) plus the diff against the previous epoch.",
 			obs.LatencyBuckets)
 		r.GaugeFunc("rslpa_evolution_lineages",
 			"Community lineages alive at the current epoch.",
@@ -130,28 +131,40 @@ func (s *Service) initEvolution(sn0 *Snapshot) error {
 	return nil
 }
 
+// evoStep times one advanceEvolution call: the whole step (the
+// evolution span's extent) and its two parts, the snapshot's extraction
+// (with what it recomputed) and the diff against the previous epoch.
+type evoStep struct {
+	total, extract, diff time.Duration
+	reweigh              postprocess.ReweighStats
+}
+
 // advanceEvolution diffs the freshly published snapshot against the
 // tracker baseline. Called only by the maintenance goroutine, right after
 // the snapshot swap and before the journal/checkpoint capture (so the
 // serialized evolution state is always at the checkpoint's epoch). A
 // failure latches the tier — detection keeps running, /events turns 503.
-func (s *Service) advanceEvolution(next *Snapshot) time.Duration {
+func (s *Service) advanceEvolution(next *Snapshot) evoStep {
 	e := s.evo
 	e.mu.RLock()
 	failed := e.failed
 	e.mu.RUnlock()
 	if failed != nil {
-		return 0
+		return evoStep{}
 	}
 	t0 := time.Now()
 	res, err := next.Communities()
+	step := evoStep{extract: time.Since(t0), reweigh: next.reweigh}
 	if err != nil {
 		e.fail(fmt.Errorf("stream: evolution extraction: %w", err))
 		s.log.Error("stream: evolution diff failed; evolution tier latched", "error", err)
-		return time.Since(t0)
+		step.total = step.extract
+		return step
 	}
 	e.mu.Lock()
+	d0 := time.Now()
 	evs, err := e.tr.Advance(next.Epoch(), res.Cover.Communities())
+	step.diff = time.Since(d0)
 	if err == nil {
 		e.snaps = append(e.snaps, next)
 		// Window: the current snapshot plus up to depth historical ones.
@@ -162,16 +175,16 @@ func (s *Service) advanceEvolution(next *Snapshot) time.Duration {
 		e.failed = fmt.Errorf("stream: evolution diff: %w", err)
 	}
 	e.mu.Unlock()
-	dur := time.Since(t0)
+	step.total = time.Since(t0)
 	if err != nil {
 		s.log.Error("stream: evolution diff failed; evolution tier latched", "error", err)
-		return dur
+		return step
 	}
 	for _, ev := range evs {
 		e.events.With(string(ev.Kind)).Inc()
 	}
-	e.diffSeconds.Observe(dur.Seconds())
-	return dur
+	e.diffSeconds.Observe(step.total.Seconds())
+	return step
 }
 
 func (e *evoTier) fail(err error) {

@@ -208,6 +208,10 @@ func TestEvolutionMetrics(t *testing.T) {
 	if v := fams["rslpa_evolution_diff_seconds"].Samples["rslpa_evolution_diff_seconds_count"]; v != 3 {
 		t.Errorf("diff_seconds_count = %g, want 3", v)
 	}
+	// The baseline extraction at start plus one per batch.
+	if v := fams["rslpa_stream_extract_seconds"].Samples["rslpa_stream_extract_seconds_count"]; v != 4 {
+		t.Errorf("extract_seconds_count = %g, want 4", v)
+	}
 	if v := fams["rslpa_evolution_lineages"].Samples["rslpa_evolution_lineages"]; v < 1 {
 		t.Errorf("lineages gauge = %g, want >= 1", v)
 	}

@@ -15,6 +15,7 @@ import (
 type streamMetrics struct {
 	updateSeconds     *obs.Histogram
 	publishSeconds    *obs.Histogram
+	extractSeconds    *obs.Histogram
 	queueWaitSeconds  *obs.Histogram
 	checkpointSeconds *obs.Histogram
 	querySeconds      *obs.Histogram
@@ -36,6 +37,8 @@ func newStreamMetrics(r *obs.Registry, s *Service) *streamMetrics {
 			"Detector Update latency per applied batch.", obs.LatencyBuckets),
 		publishSeconds: r.Histogram("rslpa_stream_publish_seconds",
 			"Copy-on-write snapshot publish latency per batch.", obs.LatencyBuckets),
+		extractSeconds: r.Histogram("rslpa_stream_extract_seconds",
+			"Snapshot community extraction latency, whoever pays it (the evolution step or the first reader of an epoch).", obs.LatencyBuckets),
 		queueWaitSeconds: r.Histogram("rslpa_stream_queue_wait_seconds",
 			"Time from a batch's first edit entering the coalescer to its Update starting.", obs.LatencyBuckets),
 		checkpointSeconds: r.Histogram("rslpa_stream_checkpoint_seconds",

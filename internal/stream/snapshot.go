@@ -2,9 +2,12 @@ package stream
 
 import (
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"rslpa/internal/core"
 	"rslpa/internal/graph"
+	"rslpa/internal/obs"
 	"rslpa/internal/postprocess"
 )
 
@@ -53,15 +56,15 @@ type Snapshot struct {
 
 	republished int // shards cloned to publish this snapshot
 
-	// scratch, when non-nil, is the service-owned pool of extraction
-	// scratches shared by every epoch's memoized extraction, so the
-	// per-vertex tables are reused between epochs instead of reallocated.
-	scratch *sync.Pool
+	// ext, when non-nil, is the service-owned extractor shared by every
+	// epoch's memoized extraction (see extractor).
+	ext *extractor
 
-	once   sync.Once
-	res    *postprocess.Result
-	member map[uint32][]int
-	err    error
+	once    sync.Once
+	res     *postprocess.Result
+	member  map[uint32][]int
+	err     error
+	reweigh postprocess.ReweighStats // what the extraction recomputed
 }
 
 // newSnapshot freezes det's current state in full (every shard cloned):
@@ -93,11 +96,11 @@ func newSnapshot(epoch uint64, det Detector, pcfg postprocess.Config, last core.
 func nextSnapshot(prev *Snapshot, det Detector, dirty []uint32, last core.UpdateStats) *Snapshot {
 	g := det.Graph()
 	sn := &Snapshot{
-		epoch:   prev.epoch + 1,
-		shards:  make([]*snapShard, graph.NumShards(g.MaxVertexID())),
-		pcfg:    prev.pcfg,
-		last:    last,
-		scratch: prev.scratch,
+		epoch:  prev.epoch + 1,
+		shards: make([]*snapShard, graph.NumShards(g.MaxVertexID())),
+		pcfg:   prev.pcfg,
+		last:   last,
+		ext:    prev.ext,
 	}
 	copy(sn.shards, prev.shards) // ID space never shrinks
 	reclone := make(map[int]struct{})
@@ -135,6 +138,16 @@ func (sn *Snapshot) total() {
 func (sn *Snapshot) shardFor(v uint32) *snapShard {
 	if i := graph.ShardOf(v); i < len(sn.shards) {
 		return sn.shards[i]
+	}
+	return nil
+}
+
+// Neighbors returns v's frozen adjacency (nil if absent), in ForEachEdge
+// order (postprocess.AdjacencyView). The slice is owned by the snapshot;
+// do not mutate it.
+func (sn *Snapshot) Neighbors(v uint32) []uint32 {
+	if sh := sn.shardFor(v); sh != nil {
+		return sh.adj.Neighbors(v)
 	}
 	return nil
 }
@@ -245,13 +258,8 @@ func (sn *Snapshot) Membership(v uint32) ([]int, error) {
 
 func (sn *Snapshot) extract() {
 	sn.once.Do(func() {
-		if sn.scratch != nil {
-			// Results never alias scratch memory, so the scratch goes
-			// straight back to the pool for the next epoch (or a
-			// concurrent extraction of a different snapshot).
-			sc := sn.scratch.Get().(*postprocess.ExtractScratch)
-			sn.res, sn.err = sc.Extract(sn, sn.Labels, sn.pcfg)
-			sn.scratch.Put(sc)
+		if sn.ext != nil {
+			sn.res, sn.reweigh, sn.err = sn.ext.extract(sn)
 		} else {
 			sn.res, sn.err = postprocess.Extract(sn, sn.Labels, sn.pcfg)
 		}
@@ -259,4 +267,49 @@ func (sn *Snapshot) extract() {
 			sn.member = sn.res.Cover.Membership()
 		}
 	})
+}
+
+// extractor is the service's incremental extraction state: one
+// ExtractScratch whose persistent weight rows follow the snapshot epochs,
+// and the epoch they describe. A snapshot one epoch past it extracts
+// through ExtractDirty with its own batch's dirty set — the same set that
+// decided which shards it recloned — so a batch costs work proportional
+// to the edges it touched. A later epoch (one was skipped) or a nil dirty
+// set rebuilds every row, and an older epoch extracts in full on a
+// private scratch without waiting for mu.
+type extractor struct {
+	seconds *obs.Histogram // rslpa_stream_extract_seconds; nil-safe
+
+	// head is the synced epoch plus one (0 = never synced); written under
+	// mu, read without it by extractions of older epochs.
+	head atomic.Uint64
+	mu   sync.Mutex
+	sc   postprocess.ExtractScratch
+}
+
+// passed reports whether the rows have moved past epoch.
+func (x *extractor) passed(epoch uint64) bool {
+	h := x.head.Load()
+	return h != 0 && epoch < h
+}
+
+func (x *extractor) extract(sn *Snapshot) (*postprocess.Result, postprocess.ReweighStats, error) {
+	t0 := time.Now()
+	defer func() { x.seconds.Observe(time.Since(t0).Seconds()) }()
+	if !x.passed(sn.epoch) {
+		x.mu.Lock()
+		if !x.passed(sn.epoch) {
+			defer x.mu.Unlock()
+			var dirty []uint32 // nil: rebuild every row
+			if h := x.head.Load(); h != 0 && sn.epoch == h {
+				dirty = sn.last.Dirty // nil when the detector reported none
+			}
+			res, st, err := x.sc.ExtractDirty(sn, sn.Labels, dirty, sn.pcfg)
+			x.head.Store(sn.epoch + 1)
+			return res, st, err
+		}
+		x.mu.Unlock()
+	}
+	res, err := postprocess.Extract(sn, sn.Labels, sn.pcfg)
+	return res, postprocess.ReweighStats{RowsReencoded: sn.nv, EdgesReweighed: sn.ne}, err
 }

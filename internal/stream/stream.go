@@ -394,12 +394,14 @@ func New(det Detector, opts Options) (*Service, error) {
 		sweepCheckpointTemps(opts.CheckpointPath)
 	}
 	// Epoch BaseEpoch (default 0): the detector's state as handed in, so
-	// queries are served from the first instant. Snapshots share one pool
-	// of extraction scratches for the service's lifetime, so the per-vertex
-	// tables are reused between epochs instead of reallocated per
-	// extraction.
+	// queries are served from the first instant. Snapshots share one
+	// extractor for the service's lifetime, so consecutive epochs
+	// reweigh only the edges their batch touched.
 	sn0 := newSnapshot(opts.BaseEpoch, det, opts.Extraction, core.UpdateStats{})
-	sn0.scratch = &sync.Pool{New: func() any { return new(postprocess.ExtractScratch) }}
+	sn0.ext = &extractor{}
+	if s.met != nil {
+		sn0.ext.seconds = s.met.extractSeconds
+	}
 	s.snap.Store(sn0)
 	s.st.Epoch = sn0.Epoch()
 	s.st.Vertices = sn0.NumVertices()
@@ -767,7 +769,7 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 	var next *Snapshot
 	if stats.Dirty == nil && stats.Inserted+stats.Deleted+stats.Repicked+stats.Changed > 0 {
 		next = newSnapshot(prev.Epoch()+1, s.det, s.opts.Extraction, stats)
-		next.scratch = prev.scratch
+		next.ext = prev.ext
 	} else {
 		next = nextSnapshot(prev, s.det, stats.Dirty, stats)
 	}
@@ -778,9 +780,9 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 	// against the previous epoch's, synchronously, so the event journal
 	// stays epoch-contiguous and the checkpoint capture below sees the
 	// tracker at exactly this epoch.
-	var evoDur time.Duration
+	var evo evoStep
 	if s.evo != nil {
-		evoDur = s.advanceEvolution(next)
+		evo = s.advanceEvolution(next)
 	}
 
 	s.mu.Lock()
@@ -809,8 +811,8 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 	s.st.LastLevelsSkipped = stats.LevelsSkipped
 	s.st.LastRoundsRun = stats.RoundsRun
 	if s.evo != nil {
-		s.st.LastEvolutionMicros = evoDur.Microseconds()
-		s.st.TotalEvolutionMicros += evoDur.Microseconds()
+		s.st.LastEvolutionMicros = evo.total.Microseconds()
+		s.st.TotalEvolutionMicros += evo.total.Microseconds()
 	}
 	if s.engine != nil {
 		s.st.EngineRounds = engCum[0]
@@ -875,7 +877,7 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 	}
 	if s.trace != nil {
 		s.trace.Record(s.batchTrace(next, flushStart, len(batch), coalesceDur,
-			dur, pub, journalDur, ckptDur, evoDur, stats, engDelta))
+			dur, pub, journalDur, ckptDur, evo, stats, engDelta))
 	}
 	return flushErr
 }
@@ -886,7 +888,7 @@ func (s *Service) flush(co *graph.Coalescer, sinceCkpt *int) error {
 // stages, so they sum to the total up to the untimed residue (stats
 // bookkeeping, snapshot pointer swap).
 func (s *Service) batchTrace(next *Snapshot, flushStart time.Time, edits int,
-	coalesce, update, publish, journal, ckpt, evo time.Duration,
+	coalesce, update, publish, journal, ckpt time.Duration, evo evoStep,
 	stats core.UpdateStats, engDelta [3]int64) obs.BatchTrace {
 	updAttrs := map[string]int64{
 		"rounds_run":     int64(stats.RoundsRun),
@@ -913,8 +915,19 @@ func (s *Service) batchTrace(next *Snapshot, flushStart time.Time, edits int,
 	if ckpt > 0 {
 		spans = append(spans, obs.Span{Name: "checkpoint", Micros: ckpt.Microseconds()})
 	}
-	if evo > 0 {
-		spans = append(spans, obs.Span{Name: "evolution", Micros: evo.Microseconds()})
+	if evo.total > 0 {
+		incremental := int64(0)
+		if evo.reweigh.Incremental {
+			incremental = 1
+		}
+		spans = append(spans, obs.Span{Name: "evolution", Micros: evo.total.Microseconds(), Children: []obs.Span{
+			{Name: "extract", Micros: evo.extract.Microseconds(), Attrs: map[string]int64{
+				"incremental":     incremental,
+				"rows_reencoded":  int64(evo.reweigh.RowsReencoded),
+				"edges_reweighed": int64(evo.reweigh.EdgesReweighed),
+			}},
+			{Name: "diff", Micros: evo.diff.Microseconds()},
+		}})
 	}
 	return obs.BatchTrace{
 		Epoch:       next.Epoch(),
